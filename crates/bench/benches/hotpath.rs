@@ -1,6 +1,6 @@
 //! Microbenchmarks pinning the simulator's hot paths: `VecMem`
-//! functional memory, `Core::step` on a single core, a full `DlaSystem`
-//! kernel — with and without event-driven cycle skipping, so the fast
+//! functional memory, `Core::step` on a single core, the timing profile
+//! that dominates workload preparation, a full `DlaSystem` kernel — with and without event-driven cycle skipping, so the fast
 //! path's speedup is a number, not a vibe — and the sampled-simulation
 //! functional emulator, so fast-forward throughput regressions are
 //! pinned the same way. The `obs` groups pin the telemetry layer's
@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use r3dla_bench::Prepared;
-use r3dla_core::{DlaConfig, Kernel, SingleCoreSim};
+use r3dla_core::{profile_functional, profile_timing, DlaConfig, Kernel, SingleCoreSim};
 use r3dla_cpu::CoreConfig;
 use r3dla_isa::{DataMem, VecMem};
 use r3dla_mem::MemConfig;
@@ -91,6 +91,25 @@ fn bench_core_step(c: &mut Criterion) {
             })
         });
     }
+    g.finish();
+}
+
+/// `profile_timing` — a detailed single-core run gathering per-PC
+/// dispatch-to-execute latencies — is nearly all of `Prepared::new`.
+/// Prepare gives it 500k committed instructions; 50k keeps several
+/// samples inside the harness's per-benchmark time budget.
+fn bench_profile_timing(c: &mut Criterion) {
+    let prog = Rc::new(by_name("libq_like").unwrap().build(Scale::Tiny).program);
+    let functional = profile_functional(&prog, DlaConfig::dla().profile_insts);
+    let mut g = c.benchmark_group("profile_timing");
+    g.sample_size(10);
+    g.bench_function("libq_tiny_50k", |b| {
+        b.iter(|| {
+            let mut data = functional.clone();
+            profile_timing(&prog, &mut data, 50_000);
+            black_box(data.avg_d2e.iter().sum::<f64>())
+        })
+    });
     g.finish();
 }
 
@@ -352,6 +371,7 @@ criterion_group!(
     benches,
     bench_vecmem,
     bench_core_step,
+    bench_profile_timing,
     bench_dla_system,
     bench_kernel,
     bench_emulator,

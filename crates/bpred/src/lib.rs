@@ -21,4 +21,4 @@ mod ras;
 
 pub use btb::{Btb, BtbConfig};
 pub use dir::{Bimodal, DirectionPredictor, Gshare, Tage};
-pub use ras::{Ras, RasState};
+pub use ras::{Ras, RasCheckpoint};

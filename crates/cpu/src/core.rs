@@ -14,7 +14,7 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use r3dla_bpred::{Btb, BtbConfig, Ras, RasState};
+use r3dla_bpred::{Btb, BtbConfig, Ras, RasCheckpoint};
 use r3dla_isa::{
     eval_alu, eval_cond, mem_addr, BranchKind, FuClass, Inst, Op, Program, Reg, INST_BYTES,
 };
@@ -54,7 +54,7 @@ struct RobEntry {
     actual_taken: Option<bool>,
     actual_next_pc: u64,
     dir_snapshot: u64,
-    ras_snapshot: RasState,
+    ras_ckpt: RasCheckpoint,
     // Value-reuse alignment context (tag of the governing conditional
     // branch and distance from it).
     branch_tag: u64,
@@ -70,22 +70,29 @@ struct RobEntry {
     // Results & stats.
     result: Option<u64>,
     dispatch_cycle: u64,
-    resolved: bool,
 }
 
+/// An issue-queue slot. It carries everything the wakeup/select scan
+/// reads (source tags, dispatch cycle, FU class), so that scan touches
+/// only the queue and the PRF ready array; the ROB is read only for
+/// entries that actually issue.
 #[derive(Debug, Clone, Copy)]
 struct IqEntry {
     thread: usize,
     seq: u64,
+    dispatch_cycle: u64,
+    src: [Option<u16>; 2],
+    class: FuClass,
+    is_load: bool,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct FetchedInst {
     pc: u64,
     inst: Inst,
     pred_next_pc: u64,
     dir_snapshot: u64,
-    ras_snapshot: RasState,
+    ras_ckpt: RasCheckpoint,
     decode_ready: u64,
     branch_tag: u64,
     branch_offset: u32,
@@ -135,6 +142,9 @@ struct Thread {
     // Backend.
     rob: VecDeque<RobEntry>,
     rob_head_seq: u64,
+    /// `(seq, exec_done)` of the issued, unresolved ROB entries, oldest
+    /// first: what writeback and `next_event_at` scan instead of the ROB.
+    executing: Vec<(u64, u64)>,
     next_seq: u64,
     store_queue: VecDeque<u64>, // seqs of in-flight stores, oldest first
 
@@ -247,6 +257,7 @@ impl Core {
             validated: [false; Reg::COUNT],
             rob: VecDeque::with_capacity(self.cfg.rob_size),
             rob_head_seq: 0,
+            executing: Vec::new(),
             next_seq: 0,
             store_queue: VecDeque::new(),
             arch_regs: regs,
@@ -524,29 +535,23 @@ impl Core {
                 }
             }
             // Writeback: issued, unresolved entries complete at exec_done.
-            for e in &t.rob {
-                if e.stage == Stage::Issued && !e.resolved {
-                    if e.exec_done <= now {
-                        return None;
-                    }
-                    wake = wake.min(e.exec_done);
+            for &(_, done) in &t.executing {
+                if done <= now {
+                    return None;
                 }
+                wake = wake.min(done);
             }
         }
         // Issue: earliest cycle any queued entry could become ready.
         for q in &self.iq {
-            let Some(idx) = self.entry_index(q.thread, q.seq) else {
-                return None; // stale entry: compacting it away is an event
-            };
             let t = &self.threads[q.thread];
-            let e = &t.rob[idx];
-            let mut ready = Self::entry_ready_bound(&self.prf, e);
+            let mut ready = Self::ready_bound(&self.prf, q.dispatch_cycle, &q.src);
             // A load also waits for older stores with unresolved
             // addresses. Skeleton-filtered threads may issue some loads
             // as prefetch payloads that bypass that check, so the
             // refinement applies only to unfiltered threads (for the
             // others the plain source bound is already a valid floor).
-            if e.inst.is_load() && t.filter.is_none() {
+            if q.is_load && t.filter.is_none() {
                 ready = ready.max(Self::load_block_bound(&self.prf, t, q.seq));
             }
             if ready <= now {
@@ -557,12 +562,13 @@ impl Core {
         Some(wake)
     }
 
-    /// Lower bound on the cycle at which `e` could issue: past its
-    /// dispatch cycle with every present source readable.
-    fn entry_ready_bound(prf: &Prf, e: &RobEntry) -> u64 {
-        let mut ready = e.dispatch_cycle + 1;
-        for src in e.src.iter().flatten() {
-            ready = ready.max(prf.ready_at(*src));
+    /// Lower bound on the cycle at which an entry dispatched at
+    /// `dispatch_cycle` with sources `src` could issue: past its dispatch
+    /// cycle with every present source readable.
+    fn ready_bound(prf: &Prf, dispatch_cycle: u64, src: &[Option<u16>; 2]) -> u64 {
+        let mut ready = dispatch_cycle + 1;
+        for p in src.iter().flatten() {
+            ready = ready.max(prf.ready_at(*p));
         }
         ready
     }
@@ -579,7 +585,7 @@ impl Core {
             if se.addr.is_none() {
                 // The store resolves its address no earlier than it can
                 // issue.
-                return Self::entry_ready_bound(prf, se);
+                return Self::ready_bound(prf, se.dispatch_cycle, &se.src);
             }
         }
         0
@@ -664,6 +670,7 @@ impl Core {
         }
         let e = t.rob.pop_front().expect("head exists");
         t.rob_head_seq = e.seq + 1;
+        t.ras.retire(e.ras_ckpt);
         if let Some(rd) = e.inst.def() {
             if let Some(old) = e.dest_old {
                 self.prf.free(old);
@@ -727,23 +734,16 @@ impl Core {
     fn stage_writeback(&mut self) {
         let cycle = self.cycle;
         for tid in 0..self.threads.len() {
-            let mut seq = self.threads[tid].rob_head_seq;
-            loop {
-                let t = &self.threads[tid];
-                let idx = (seq - t.rob_head_seq) as usize;
-                if idx >= t.rob.len() {
-                    break;
-                }
-                let needs_resolve = {
-                    let e = &t.rob[idx];
-                    e.stage == Stage::Issued && e.exec_done <= cycle && !e.resolved
-                };
-                let this_seq = seq;
-                seq += 1;
-                if !needs_resolve {
+            // Completed entries resolve in program order.
+            let mut i = 0;
+            while i < self.threads[tid].executing.len() {
+                let (seq, done) = self.threads[tid].executing[i];
+                if done > cycle {
+                    i += 1;
                     continue;
                 }
-                if self.resolve_entry(tid, this_seq) {
+                self.threads[tid].executing.remove(i);
+                if self.resolve_entry(tid, seq) {
                     break; // squashed everything younger
                 }
             }
@@ -757,7 +757,6 @@ impl Core {
             let idx = (seq - t.rob_head_seq) as usize;
             let en = &mut t.rob[idx];
             en.stage = Stage::Done;
-            en.resolved = true;
             *en
         };
         // Value-prediction validation.
@@ -773,7 +772,7 @@ impl Core {
                 // Replay: squash younger instructions (which consumed the
                 // bad value) and refetch after this instruction. The
                 // instruction itself keeps its correct result.
-                self.squash_younger(tid, seq, &e, false);
+                self.squash_younger(tid, seq, &e);
                 return true;
             }
         }
@@ -789,7 +788,7 @@ impl Core {
             }
             if mispredicted {
                 self.counters.branch_mispredicts.inc();
-                self.squash_younger(tid, seq, &e, true);
+                self.squash_younger(tid, seq, &e);
                 return true;
             }
         }
@@ -797,9 +796,8 @@ impl Core {
     }
 
     /// Squashes all entries younger than `seq` and redirects fetch after
-    /// the squashing entry `e`. `was_branch_mispredict` selects the
-    /// front-end repair flavour.
-    fn squash_younger(&mut self, tid: usize, seq: u64, e: &RobEntry, was_branch_mispredict: bool) {
+    /// the squashing entry `e`.
+    fn squash_younger(&mut self, tid: usize, seq: u64, e: &RobEntry) {
         let cycle = self.cycle;
         {
             let t = &mut self.threads[tid];
@@ -819,6 +817,8 @@ impl Core {
                 }
                 self.counters.squashed.inc();
             }
+            let live = t.executing.partition_point(|&(s, _)| s <= seq);
+            t.executing.truncate(live);
             t.next_seq = seq + 1;
             t.fetch_buffer.clear();
             t.decode_pipe.clear();
@@ -827,9 +827,13 @@ impl Core {
             t.fetch_pc = e.actual_next_pc;
             t.fetch_stall_until = cycle + 1;
             t.halted_fetch = false;
-            // Repair speculative front-end state to just-after `e`.
+            // Repair speculative front-end state to just-after `e`: the
+            // RAS rewinds to its state before `e` was fetched, then a
+            // call re-pushes. A return is not popped again, so after a
+            // mispredicted return its stale address stays on top (a
+            // known model quirk, kept for report compatibility).
             t.dir.restore(e.dir_snapshot, e.actual_taken);
-            t.ras.restore(e.ras_snapshot);
+            t.ras.restore(e.ras_ckpt);
             if matches!(
                 e.inst.branch_kind(),
                 Some(BranchKind::Call | BranchKind::IndCall)
@@ -846,7 +850,6 @@ impl Core {
                 t.cursor_offset = e.branch_offset;
                 t.next_local_tag = e.branch_tag + 1;
             }
-            let _ = was_branch_mispredict;
         }
         self.iq.retain(|q| q.thread != tid || q.seq <= seq);
     }
@@ -864,10 +867,11 @@ impl Core {
             self.counters.squashed.inc();
         }
         t.rob_head_seq = t.next_seq;
+        t.executing.clear();
         t.store_queue.clear();
         t.fetch_buffer.clear();
         t.decode_pipe.clear();
-        t.ras = Ras::new();
+        t.ras.reset();
         t.validated = [false; Reg::COUNT];
         t.next_local_tag = 1;
         self.iq.retain(|q| q.thread != tid);
@@ -919,24 +923,21 @@ impl Core {
     }
 
     fn stage_issue(&mut self) {
-        // Single age-ordered pass with in-place compaction: issued and
-        // stale entries are dropped by not copying them forward, so one
-        // cycle costs O(iq) instead of O(iq²) `Vec::remove` shifts.
-        // Entries past the issue-width cutoff are copied through
-        // untouched, exactly as the shifting loop left them.
+        // Single age-ordered pass with in-place compaction: issued
+        // entries are dropped by not copying them forward, so one cycle
+        // costs O(iq) instead of O(iq²) `Vec::remove` shifts. Entries
+        // past the issue-width cutoff are copied through untouched.
+        //
+        // Every queued entry is a live, dispatched ROB entry (squashes
+        // purge the queue with the ROB, and issue removes the entry), so
+        // wakeup reads only the queue and the PRF.
         let mut issued = 0usize;
         let mut kept = 0usize;
         for i in 0..self.iq.len() {
             let q = self.iq[i];
-            if issued < self.cfg.issue_width {
-                match self.try_issue(q.thread, q.seq) {
-                    IssueResult::Issued => {
-                        issued += 1;
-                        continue;
-                    }
-                    IssueResult::Gone => continue,
-                    IssueResult::NotReady => {}
-                }
+            if issued < self.cfg.issue_width && self.wakes(&q) && self.try_issue(&q) {
+                issued += 1;
+                continue;
             }
             self.iq[kept] = q;
             kept += 1;
@@ -944,61 +945,54 @@ impl Core {
         self.iq.truncate(kept);
     }
 
-    fn entry_index(&self, tid: usize, seq: u64) -> Option<usize> {
-        let t = &self.threads[tid];
-        if seq < t.rob_head_seq {
-            return None;
-        }
-        let idx = (seq - t.rob_head_seq) as usize;
-        (idx < t.rob.len() && t.rob[idx].seq == seq).then_some(idx)
+    /// Wakeup and select for one queued entry: dispatched before this
+    /// cycle, every source ready, a functional unit free.
+    fn wakes(&self, q: &IqEntry) -> bool {
+        let cycle = self.cycle;
+        q.dispatch_cycle < cycle
+            && q.src.iter().flatten().all(|&p| self.prf.is_ready(p, cycle))
+            && self.fu_available(q.class)
     }
 
-    fn try_issue(&mut self, tid: usize, seq: u64) -> IssueResult {
+    /// Issues a woken entry unless it is a load held back by an older
+    /// store with an unresolved address; returns whether it issued.
+    fn try_issue(&mut self, q: &IqEntry) -> bool {
         let cycle = self.cycle;
-        let Some(idx) = self.entry_index(tid, seq) else {
-            return IssueResult::Gone;
+        let (tid, seq) = (q.thread, q.seq);
+        let idx = (seq - self.threads[tid].rob_head_seq) as usize;
+        let (pc, inst, dest_new, vpred) = {
+            let e = &self.threads[tid].rob[idx];
+            debug_assert!(e.seq == seq && e.stage == Stage::Dispatched);
+            (e.pc, e.inst, e.dest_new, e.vpred)
         };
-        let e = self.threads[tid].rob[idx];
-        if e.stage != Stage::Dispatched || e.dispatch_cycle >= cycle {
-            return IssueResult::NotReady;
-        }
-        for src in e.src.iter().flatten() {
-            if !self.prf.is_ready(*src, cycle) {
-                return IssueResult::NotReady;
-            }
-        }
-        let class = e.inst.fu_class();
-        if !self.fu_available(class) {
-            return IssueResult::NotReady;
-        }
-        let prefetch_only = e.inst.is_load()
+        let prefetch_only = q.is_load
             && self.threads[tid]
                 .filter
                 .as_ref()
-                .map(|f| f.borrow_mut().prefetch_only(e.pc))
+                .map(|f| f.borrow_mut().prefetch_only(pc))
                 .unwrap_or(false);
-        if e.inst.is_load() && !prefetch_only && !self.load_may_issue(tid, seq) {
-            return IssueResult::NotReady;
+        if q.is_load && !prefetch_only && !self.load_may_issue(tid, seq) {
+            return false;
         }
-        let a = e.src[0].map(|p| self.prf.read(p)).unwrap_or(0);
-        let b = e.src[1].map(|p| self.prf.read(p)).unwrap_or(0);
+        let a = q.src[0].map(|p| self.prf.read(p)).unwrap_or(0);
+        let b = q.src[1].map(|p| self.prf.read(p)).unwrap_or(0);
         self.counters
             .rf_reads
-            .add(e.src.iter().flatten().count() as u64);
+            .add(q.src.iter().flatten().count() as u64);
         self.counters.executed.inc();
-        let seq_pc = e.pc + INST_BYTES;
+        let seq_pc = pc + INST_BYTES;
         let mut result: Option<u64> = None;
         let mut actual_taken: Option<bool> = None;
         let mut actual_next = seq_pc;
-        let mut exec_done = cycle + e.inst.latency();
+        let mut exec_done = cycle + inst.latency();
         let mut addr = None;
         let mut store_val = None;
         let mut flags = (false, false, false);
-        match e.inst.op {
+        match inst.op {
             Op::Ld => {
-                let a_addr = mem_addr(&e.inst, a);
+                let a_addr = mem_addr(&inst, a);
                 addr = Some(a_addr);
-                let (ready, value, fl) = self.execute_load(tid, seq, a_addr, e.pc);
+                let (ready, value, fl) = self.execute_load(tid, seq, a_addr, pc);
                 // Prefetch payloads (skeleton loads with dead results)
                 // touch the memory system but never stall the pipeline.
                 exec_done = if prefetch_only { cycle + 3 } else { ready };
@@ -1006,49 +1000,49 @@ impl Core {
                 flags = fl;
             }
             Op::St => {
-                let a_addr = mem_addr(&e.inst, a);
+                let a_addr = mem_addr(&inst, a);
                 addr = Some(a_addr);
                 store_val = Some(b);
                 exec_done = cycle + 1;
             }
             Op::Beq | Op::Bne | Op::Blt | Op::Bge | Op::Bltu | Op::Bgeu => {
-                let mut taken = eval_cond(e.inst.op, a, b);
+                let mut taken = eval_cond(inst.op, a, b);
                 if let Some(ov) = &self.threads[tid].branch_override {
-                    if let Some(forced) = ov.borrow().force(e.pc) {
+                    if let Some(forced) = ov.borrow().force(pc) {
                         taken = forced;
                     }
                 }
                 actual_taken = Some(taken);
-                actual_next = if taken { e.inst.imm as u64 } else { seq_pc };
+                actual_next = if taken { inst.imm as u64 } else { seq_pc };
             }
             Op::Jal => {
-                actual_next = e.inst.imm as u64;
-                if e.inst.def().is_some() {
+                actual_next = inst.imm as u64;
+                if inst.def().is_some() {
                     result = Some(seq_pc);
                 }
             }
             Op::Jalr => {
-                actual_next = a.wrapping_add(e.inst.imm as u64) & !3;
-                if e.inst.def().is_some() {
+                actual_next = a.wrapping_add(inst.imm as u64) & !3;
+                if inst.def().is_some() {
                     result = Some(seq_pc);
                 }
             }
             Op::Nop | Op::Halt => {}
             _ => {
-                result = Some(eval_alu(e.inst.op, a, b, e.inst.imm));
+                result = Some(eval_alu(inst.op, a, b, inst.imm));
             }
         }
-        if e.inst.is_load() {
+        if q.is_load {
             self.counters.loads.inc();
-        } else if e.inst.is_store() {
+        } else if inst.is_store() {
             self.counters.stores.inc();
         }
-        self.fu_consume(class, exec_done);
+        self.fu_consume(q.class, exec_done);
         // Write the PRF early; readiness gates visibility. For correctly
         // value-predicted instructions, keep the early availability the
         // prediction established (same value, earlier ready).
-        if let (Some(p), Some(v)) = (e.dest_new, result) {
-            match e.vpred {
+        if let (Some(p), Some(v)) = (dest_new, result) {
+            match vpred {
                 Some(pv) if pv == v => {} // prediction already in place
                 _ => {
                     self.prf.write(p, v, exec_done);
@@ -1057,6 +1051,8 @@ impl Core {
             }
         }
         let t = &mut self.threads[tid];
+        let at = t.executing.partition_point(|&(s, _)| s < seq);
+        t.executing.insert(at, (seq, exec_done));
         let en = &mut t.rob[idx];
         en.stage = Stage::Issued;
         en.exec_done = exec_done;
@@ -1068,7 +1064,7 @@ impl Core {
         en.l1_miss = flags.0;
         en.l2_miss = flags.1;
         en.tlb_miss = flags.2;
-        IssueResult::Issued
+        true
     }
 
     fn load_may_issue(&self, tid: usize, seq: u64) -> bool {
@@ -1155,20 +1151,19 @@ impl Core {
         let mut budget = self.cfg.decode_width;
         let mut iq_free = self.cfg.iq_size.saturating_sub(self.iq.len());
         let mut prf_free = self.prf.available();
-        let mut renamed_per_thread = vec![0u64; nthreads];
+        let mut absorbed = 0u64;
         for k in 0..nthreads {
             let tid = (self.cycle as usize + k) % nthreads;
+            let mut renamed = 0u64;
             while budget > 0 && self.rename_one(tid, &mut iq_free, &mut prf_free) {
                 budget -= 1;
-                renamed_per_thread[tid] += 1;
+                renamed += 1;
             }
+            self.threads[tid].stats.renamed_per_cycle.record(renamed);
+            absorbed += renamed;
         }
-        let absorbed: u64 = renamed_per_thread.iter().sum();
         if budget > 0 && self.backend_has_room() && self.threads.iter().any(|t| !t.halted) {
             self.counters.fetch_bubble_insts.add(budget as u64);
-        }
-        for (tid, n) in renamed_per_thread.iter().enumerate() {
-            self.threads[tid].stats.renamed_per_cycle.record(*n);
         }
         self.counters.decoded.add(absorbed);
     }
@@ -1270,7 +1265,7 @@ impl Core {
             actual_taken: None,
             actual_next_pc: f.pc + INST_BYTES,
             dir_snapshot: f.dir_snapshot,
-            ras_snapshot: f.ras_snapshot,
+            ras_ckpt: f.ras_ckpt,
             branch_tag: f.branch_tag,
             branch_offset: f.branch_offset,
             addr: None,
@@ -1281,7 +1276,6 @@ impl Core {
             vpred: if skip_validation { None } else { vpred },
             result: vpred,
             dispatch_cycle: cycle,
-            resolved: skip_validation,
         };
         t.rob.push_back(entry);
         if is_store {
@@ -1289,7 +1283,14 @@ impl Core {
         }
         self.counters.rob_writes.inc();
         if !skip_validation {
-            self.iq.push(IqEntry { thread: tid, seq });
+            self.iq.push(IqEntry {
+                thread: tid,
+                seq,
+                dispatch_cycle: cycle,
+                src,
+                class: f.inst.fu_class(),
+                is_load: f.inst.is_load(),
+            });
             *iq_free -= 1;
             self.counters.iq_writes.inc();
         }
@@ -1380,7 +1381,7 @@ impl Core {
             }
             let t = &mut self.threads[tid];
             let dir_snapshot = t.dir.snapshot();
-            let ras_snapshot = t.ras.snapshot();
+            let ras_ckpt = t.ras.checkpoint();
             match kind {
                 Some(BranchKind::Cond) => match t.dir.predict(pc) {
                     Some(taken) => {
@@ -1445,7 +1446,7 @@ impl Core {
                 inst,
                 pred_next_pc: next_pc,
                 dir_snapshot,
-                ras_snapshot,
+                ras_ckpt,
                 decode_ready: 0, // assigned when drained into the decode pipe
                 branch_tag,
                 branch_offset,
@@ -1466,11 +1467,4 @@ impl Core {
             .fetched_per_cycle
             .record(pushed as u64);
     }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum IssueResult {
-    Issued,
-    NotReady,
-    Gone,
 }
