@@ -12,7 +12,7 @@
 
 use std::rc::Rc;
 
-use r3dla_bpred::{Bimodal, DirectionPredictor, Tage};
+use r3dla_bpred::{Bimodal, DirectionPredictor};
 use r3dla_core::SingleCoreSim;
 use r3dla_cpu::CoreConfig;
 use r3dla_isa::{eval_alu, BranchKind, Program, Reg, INST_BYTES};
@@ -135,8 +135,6 @@ impl BFetchSim {
             None,
             Some("bop"),
         );
-        // Predictor sized like B-Fetch's front-end tables.
-        let _ = Tage::paper(); // (documented alternative; bimodal walks cheaper)
         let walker = Walker {
             program,
             predictor: Bimodal::new(4096),
@@ -208,35 +206,12 @@ impl BFetchSim {
         self.sim.core().next_event_at()
     }
 
-    /// Runs until `target` instructions commit (bounded by `max_cycles`).
-    /// Stretches where the core is provably stalled and the walker is
-    /// exhausted are skipped to the next wakeup, byte-identically.
+    /// Runs until `target` instructions commit (bounded by `max_cycles`)
+    /// through the shared [`r3dla_core::run_until`] driver. Stretches
+    /// where the core is provably stalled and the walker is exhausted
+    /// are skipped to the next wakeup, byte-identically.
     pub fn run_until(&mut self, target: u64, max_cycles: u64) -> u64 {
-        let c0 = self.sim.core().committed(0);
-        let y0 = self.sim.core().cycle();
-        let cap = y0.saturating_add(max_cycles);
-        let mut last_probe = u64::MAX;
-        let mut guard_last = y0;
-        while self.sim.core().committed(0) - c0 < target
-            && !self.sim.core().halted()
-            && self.sim.core().cycle() - y0 < max_cycles
-        {
-            if r3dla_core::guard::tick_since(self.sim.core().cycle(), &mut guard_last) {
-                break;
-            }
-            if self.fast_forward {
-                let probe = self.sim.core().activity_probe();
-                if probe == last_probe {
-                    if let Some(wake) = self.next_event_at() {
-                        self.sim.core_mut().skip_to(wake.min(cap));
-                        continue;
-                    }
-                }
-                last_probe = probe;
-            }
-            self.step();
-        }
-        self.sim.core().cycle() - y0
+        r3dla_core::run_until(self, target, max_cycles)
     }
 
     /// Warm up, then measure a window; returns `(IPC, insts, cycles)`.
@@ -270,6 +245,8 @@ impl BFetchSim {
         &self.sim
     }
 }
+
+side_engine_actor!(BFetchSim);
 
 #[cfg(test)]
 mod tests {

@@ -275,36 +275,13 @@ impl CreSim {
         Some(wake.min(self.last_dispatch + self.redispatch_interval))
     }
 
-    /// Runs until `target` instructions commit (bounded by `max_cycles`).
-    /// Stretches where the core is provably stalled and the engine is
-    /// exhausted are skipped to the next wakeup (or the next redispatch
-    /// boundary, whichever is earlier), byte-identically.
+    /// Runs until `target` instructions commit (bounded by `max_cycles`)
+    /// through the shared [`r3dla_core::run_until`] driver. Stretches
+    /// where the core is provably stalled and the engine is exhausted
+    /// are skipped to the next wakeup (or the next redispatch boundary,
+    /// whichever is earlier), byte-identically.
     pub fn run_until(&mut self, target: u64, max_cycles: u64) -> u64 {
-        let c0 = self.sim.core().committed(0);
-        let y0 = self.sim.core().cycle();
-        let cap = y0.saturating_add(max_cycles);
-        let mut last_probe = u64::MAX;
-        let mut guard_last = y0;
-        while self.sim.core().committed(0) - c0 < target
-            && !self.sim.core().halted()
-            && self.sim.core().cycle() - y0 < max_cycles
-        {
-            if r3dla_core::guard::tick_since(self.sim.core().cycle(), &mut guard_last) {
-                break;
-            }
-            if self.fast_forward {
-                let probe = self.sim.core().activity_probe();
-                if probe == last_probe {
-                    if let Some(wake) = self.next_event_at() {
-                        self.sim.core_mut().skip_to(wake.min(cap));
-                        continue;
-                    }
-                }
-                last_probe = probe;
-            }
-            self.step();
-        }
-        self.sim.core().cycle() - y0
+        r3dla_core::run_until(self, target, max_cycles)
     }
 
     /// Warm up, then measure a window; returns `(IPC, insts, cycles)`.
@@ -336,6 +313,8 @@ impl CreSim {
         Rc::clone(&self.arch_mem)
     }
 }
+
+side_engine_actor!(CreSim);
 
 #[cfg(test)]
 mod tests {

@@ -12,10 +12,50 @@
 //! [`slipstream_system`] returns a `DlaSystem` and the plain single-core
 //! baselines run on `SingleCoreSim`, so both inherit event-driven cycle
 //! skipping from `r3dla-core` automatically. [`BFetchSim`] and
-//! [`CreSim`] deliberately do **not** skip: their side engines (the
-//! B-Fetch walker, the runahead engine) do real work every cycle by
-//! design, so they are never quiescent and fast-forwarding them would
-//! change what the models compute, not just how fast.
+//! [`CreSim`] attach a side engine (the B-Fetch walker, the runahead
+//! engine) that works on most cycles; they skip only stretches where the
+//! core is provably stalled *and* the engine is exhausted, and run
+//! through the same `r3dla_core::run_until` driver as every other
+//! single system.
+
+/// `KernelActor` for a single core with a side engine: the core's
+/// activity-probe gate, then the type's engine-aware `next_event_at`
+/// bound and a skip, else one `step` of core + engine. With
+/// `fast_forward` off it always steps. Expects the fields `sim`
+/// (`SingleCoreSim`) and `fast_forward`, and the methods
+/// `next_event_at` and `step`.
+macro_rules! side_engine_actor {
+    ($ty:ty) => {
+        impl r3dla_core::KernelActor for $ty {
+            fn local_cycle(&self) -> u64 {
+                self.sim.core().cycle()
+            }
+
+            fn halted(&self) -> bool {
+                self.sim.core().halted()
+            }
+
+            fn committed(&self) -> u64 {
+                self.sim.core().committed(0)
+            }
+
+            fn advance_quantum(&mut self, cap: u64, last_probe: &mut u64) -> u64 {
+                if self.fast_forward {
+                    let probe = self.sim.core().activity_probe();
+                    if probe == *last_probe {
+                        if let Some(wake) = self.next_event_at() {
+                            self.sim.core_mut().skip_to(wake.min(cap));
+                            return self.sim.core().cycle();
+                        }
+                    }
+                    *last_probe = probe;
+                }
+                self.step();
+                self.sim.core().cycle()
+            }
+        }
+    };
+}
 
 mod bfetch;
 mod cre;

@@ -132,18 +132,16 @@ fn bench_kernel(c: &mut Criterion) {
     let mut g = c.benchmark_group("kernel");
     g.sample_size(20);
     // Raw scheduler churn: schedule + pop round trips through the
-    // calendar wheel, near-future (bucket append) and far-future
-    // (overflow list + rebase) alike.
+    // cluster's event queue, four actors a few cycles apart.
     g.bench_function("schedule_pop_near_100k", |b| {
         b.iter(|| {
             let mut k = Kernel::new();
-            let ids: Vec<_> = (0..4).map(|_| k.add_actor()).collect();
             let mut dispatched = 0u64;
             for round in 0..25_000u64 {
-                for (i, &id) in ids.iter().enumerate() {
-                    k.schedule(id, k.now() + 1 + (round + i as u64) % 7);
+                for id in 0..4 {
+                    k.schedule(id, k.now() + 1 + (round + id as u64) % 7);
                 }
-                for _ in 0..ids.len() {
+                for _ in 0..4 {
                     let (t, _) = k.pop().unwrap();
                     dispatched += t;
                 }
@@ -151,39 +149,6 @@ fn bench_kernel(c: &mut Criterion) {
             black_box(dispatched)
         })
     });
-    g.bench_function("schedule_pop_far_rebase_100k", |b| {
-        b.iter(|| {
-            let mut k = Kernel::new();
-            let a = k.add_actor();
-            let b2 = k.add_actor();
-            let mut dispatched = 0u64;
-            for round in 0..50_000u64 {
-                // One near, one several wheel-horizons out: every few
-                // rounds the wheel drains and rebases onto the far list.
-                k.schedule(a, k.now() + 3);
-                k.schedule(b2, k.now() + 2_000 + round % 11);
-                let (t1, _) = k.pop().unwrap();
-                let (t2, _) = k.pop().unwrap();
-                dispatched += t1 + t2;
-            }
-            black_box(dispatched)
-        })
-    });
-    g.finish();
-    // End-to-end: a memory-bound DLA cell pumped by the event kernel vs
-    // the legacy lockstep loop — the refactor's overhead as a number.
-    let prepared = Prepared::new(&by_name("mcf_like").unwrap(), Scale::Tiny);
-    let mut g = c.benchmark_group("kernel_cell");
-    g.sample_size(10);
-    for (name, event_kernel) in [("legacy_loop_mcf", false), ("event_kernel_mcf", true)] {
-        g.bench_function(name, |b| {
-            b.iter(|| {
-                let rep =
-                    prepared.measure_dla_mode(DlaConfig::dla(), 5_000, 20_000, true, event_kernel);
-                black_box(rep.mt_committed)
-            })
-        });
-    }
     g.finish();
 }
 

@@ -211,32 +211,8 @@ impl Prepared {
         win: u64,
         fast_forward: bool,
     ) -> WindowReport {
-        self.measure_dla_mode(
-            cfg,
-            warm,
-            win,
-            fast_forward,
-            r3dla_core::event_kernel_default(),
-        )
-    }
-
-    /// [`measure_dla_ff`](Self::measure_dla_ff) with the run loop also
-    /// pinned: `event_kernel` selects the event-driven kernel loop or the
-    /// legacy lockstep loop. All four combinations report identically;
-    /// the knobs exist for the equivalence suite and CI smoke, pinned per
-    /// instance because `R3DLA_EVENT_KERNEL` is racy under parallel
-    /// tests.
-    pub fn measure_dla_mode(
-        &self,
-        cfg: DlaConfig,
-        warm: u64,
-        win: u64,
-        fast_forward: bool,
-        event_kernel: bool,
-    ) -> WindowReport {
         let mut sys = self.dla_system(cfg);
         sys.set_fast_forward(fast_forward);
-        sys.set_event_kernel(event_kernel);
         sys.measure(warm, win)
     }
 
@@ -277,34 +253,8 @@ impl Prepared {
         win: u64,
         fast_forward: bool,
     ) -> WindowReport {
-        self.measure_single_report_mode(
-            core,
-            l1pf,
-            l2pf,
-            warm,
-            win,
-            fast_forward,
-            r3dla_core::event_kernel_default(),
-        )
-    }
-
-    /// [`measure_single_report_ff`](Self::measure_single_report_ff) with
-    /// the run loop also pinned (see
-    /// [`measure_dla_mode`](Self::measure_dla_mode)).
-    #[allow(clippy::too_many_arguments)]
-    pub fn measure_single_report_mode(
-        &self,
-        core: CoreConfig,
-        l1pf: Option<&str>,
-        l2pf: Option<&str>,
-        warm: u64,
-        win: u64,
-        fast_forward: bool,
-        event_kernel: bool,
-    ) -> WindowReport {
         let mut sim = SingleCoreSim::build(&self.built, core, MemConfig::paper(), l1pf, l2pf);
         sim.set_fast_forward(fast_forward);
-        sim.set_event_kernel(event_kernel);
         sim.measure(warm, win)
     }
 }

@@ -350,40 +350,11 @@ pub fn run_cell(
     win: u64,
     fast_forward: bool,
 ) -> WindowReport {
-    run_cell_mode(
-        p,
-        spec,
-        warm,
-        win,
-        fast_forward,
-        r3dla_core::event_kernel_default(),
-    )
-}
-
-/// [`run_cell`] with the run loop also pinned: `event_kernel` selects
-/// the event-driven kernel loop or the legacy lockstep loop
-/// (byte-identical results — the equivalence suite asserts it per cell).
-pub fn run_cell_mode(
-    p: &Prepared,
-    spec: &ConfigSpec,
-    warm: u64,
-    win: u64,
-    fast_forward: bool,
-    event_kernel: bool,
-) -> WindowReport {
     match &spec.kind {
-        CellKind::Dla(cfg) => {
-            p.measure_dla_mode(cfg.clone(), warm, win, fast_forward, event_kernel)
+        CellKind::Dla(cfg) => p.measure_dla_ff(cfg.clone(), warm, win, fast_forward),
+        CellKind::Single { core, l1pf, l2pf } => {
+            p.measure_single_report_ff(core.clone(), *l1pf, *l2pf, warm, win, fast_forward)
         }
-        CellKind::Single { core, l1pf, l2pf } => p.measure_single_report_mode(
-            core.clone(),
-            *l1pf,
-            *l2pf,
-            warm,
-            win,
-            fast_forward,
-            event_kernel,
-        ),
     }
 }
 

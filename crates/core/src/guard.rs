@@ -7,11 +7,11 @@
 //! thread-confined `Rc`/`RefCell` soup that cannot be torn down safely
 //! from outside, so instead of forcibly unwinding a stuck worker, the
 //! supervisor trips a shared [`AtomicBool`] (its watchdog thread) or
-//! installs a cycle budget up front, and the run loops — `DlaSystem`,
-//! `SingleCoreSim`, `Cluster`, the ported baselines, and the functional
-//! fast-forward in `r3dla-sample` — bail out at the next iteration. The
-//! supervisor then reads [`interrupt_cause`], discards the partial
-//! result, and reports the cell as timed out.
+//! installs a cycle budget up front, and the run loops — the
+//! single-system driver [`run_until`](crate::run_until), `Cluster`, and
+//! the functional fast-forward in `r3dla-sample` — bail out at the next
+//! iteration. The supervisor then reads [`interrupt_cause`], discards
+//! the partial result, and reports the cell as timed out.
 //!
 //! When no guard is installed (the default — every direct call to
 //! `measure`/`run_until*` outside a supervised pool), [`tick`] is a

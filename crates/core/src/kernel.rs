@@ -1,213 +1,58 @@
-//! Deterministic discrete-event kernel: a calendar queue over
-//! `(time, seq)` keys with FIFO tie-breaking, actor bookkeeping with
-//! cancel/re-arm on top of it ([`Kernel`]), and the multi-tenant
-//! [`Cluster`] driver that hosts several simulated systems — e.g. two
+//! Run loops: the one driver every single-system simulator runs
+//! through ([`run_until`]), and the multi-tenant [`Cluster`] that
+//! interleaves several simulated systems — e.g. two
 //! [`DlaSystem`](crate::DlaSystem)s sharing an LLC/DRAM model — under
-//! one global clock.
+//! one global clock with a deterministic event queue ([`Kernel`]).
 //!
 //! # The wakeup contract
 //!
-//! An actor is anything that can answer "when must I next be
-//! dispatched?" after every advance. The cores' `next_event_at()` gives
-//! a *lower bound* on the next architecturally visible action: waking an
-//! actor early is always safe (it proves quiescence again and goes back
-//! to sleep), waking it late never happens. Because a provably quiescent
-//! stretch replayed by `skip_to` is byte-identical to stepping it, *any*
-//! dispatch schedule that respects the bound produces the same simulated
-//! state — which is why the event-driven loop, the legacy lockstep loop
-//! (`R3DLA_EVENT_KERNEL=0`) and any interleaving of cluster tenants all
-//! agree to the bit.
+//! An actor ([`KernelActor`]) is anything that can answer "when must I
+//! next be dispatched?" after every advance. The cores'
+//! `next_event_at()` gives a *lower bound* on the next architecturally
+//! visible action: waking an actor early is always safe (it proves
+//! quiescence again and goes back to sleep), waking it late never
+//! happens. Because a provably quiescent stretch replayed by `skip_to`
+//! is byte-identical to stepping it, *any* dispatch schedule that
+//! respects the bound produces the same simulated state — which is why
+//! the driver with skipping on, the driver stepping every cycle
+//! (`set_fast_forward(false)`, the runner's `--no-skip`) and any
+//! interleaving of cluster tenants all agree to the bit.
 //!
 //! # Determinism rules
 //!
-//! * Events are totally ordered by `(time, seq)`; `seq` is a monotone
-//!   insertion counter, so same-cycle events dispatch in the order they
-//!   were scheduled (FIFO) — never by actor id, hash order or heap
-//!   shape.
-//! * Re-arming an actor bumps its generation; a stale event left in the
-//!   queue is skipped at pop. Cancellation is O(1) and never reorders
-//!   live events.
+//! * [`Kernel`] events are totally ordered by `(time, seq)`; `seq` is a
+//!   monotone insertion counter, so same-cycle events dispatch in the
+//!   order they were scheduled (FIFO) — never by actor id or hash order.
 //! * [`Cluster`] dispatches whichever tenant's local clock is earliest
 //!   (ties by schedule order), so shared-LLC/DRAM state mutations occur
 //!   in nondecreasing global-time order regardless of tenant count.
 
 use std::cell::RefCell;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::rc::Rc;
 
+use r3dla_cpu::Core;
 use r3dla_mem::SharedLlc;
 
 use crate::system::{MeasureTarget, SysSnapshot, WindowReport};
 
-/// Identifies an actor registered with a [`Kernel`] (dense, starting
-/// at 0 in registration order).
+/// Identifies an actor scheduled on a [`Kernel`] (a [`Cluster`] uses
+/// the tenant's index).
 pub type ActorId = usize;
 
-/// Whether the event-kernel run loop is enabled by default, read from
-/// the `R3DLA_EVENT_KERNEL` environment variable at system construction
-/// (anything but `"0"`, including unset, means on). The legacy lockstep
-/// loop behind `R3DLA_EVENT_KERNEL=0` is byte-identical and exists so CI
-/// can `cmp` the two paths; tests toggle per instance via
-/// `set_event_kernel` instead, because environment variables are racy
-/// under a parallel test harness.
+/// Always `true`; reads no environment. The run-loop switch it used to
+/// report is gone (every single system runs through [`run_until`]).
+/// It survives only because the frozen `perfbench` campaign still calls
+/// it, and goes with those call sites in the next benchmark change.
+#[doc(hidden)]
 pub fn event_kernel_default() -> bool {
-    std::env::var_os("R3DLA_EVENT_KERNEL").is_none_or(|v| v != "0")
+    true
 }
 
-/// Buckets in the calendar wheel: one simulated cycle each. Core wakeups
-/// are almost always within a few hundred cycles (an MSHR or DRAM
-/// completion), so the common case is a constant-time bucket append;
-/// only far-future wakeups (reboot drain timeouts, `u64::MAX` "never"
-/// parks) take the overflow path.
-const WHEEL_BUCKETS: usize = 512;
-
-#[derive(Clone, Copy, Debug)]
-struct Event {
-    time: u64,
-    seq: u64,
-    actor: ActorId,
-    generation: u64,
-}
-
-/// A deterministic calendar queue: a wheel of one-cycle buckets plus a
-/// far-future overflow list, ordered by `(time, seq)` with FIFO
-/// tie-breaking.
-///
-/// The queue never reorders same-key events: within a bucket, events are
-/// stored in insertion (`seq`) order, and the overflow list is sorted by
-/// `(time, seq)` — unique keys — before being redistributed when the
-/// wheel drains past its horizon.
-///
-/// # Examples
-///
-/// ```
-/// use r3dla_core::EventQueue;
-///
-/// let mut q = EventQueue::new();
-/// q.push(7, 1, 0);
-/// q.push(3, 0, 0);
-/// q.push(7, 2, 0); // same cycle as actor 1: FIFO after it
-/// assert_eq!(q.pop().map(|(t, a, _)| (t, a)), Some((3, 0)));
-/// assert_eq!(q.pop().map(|(t, a, _)| (t, a)), Some((7, 1)));
-/// assert_eq!(q.pop().map(|(t, a, _)| (t, a)), Some((7, 2)));
-/// assert!(q.pop().is_none());
-/// ```
-pub struct EventQueue {
-    wheel: Vec<Vec<Event>>,
-    far: Vec<Event>,
-    /// Simulated time of wheel bucket 0.
-    base: u64,
-    /// Next wheel bucket to drain; buckets before it are empty.
-    cursor: usize,
-    seq: u64,
-    len: usize,
-}
-
-impl Default for EventQueue {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl EventQueue {
-    /// An empty queue based at time 0.
-    pub fn new() -> Self {
-        Self {
-            wheel: (0..WHEEL_BUCKETS).map(|_| Vec::new()).collect(),
-            far: Vec::new(),
-            base: 0,
-            cursor: 0,
-            seq: 0,
-            len: 0,
-        }
-    }
-
-    /// Number of queued events (stale generations included — the
-    /// [`Kernel`] filters those at pop).
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether no events are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Enqueues a wakeup for `actor` at `time` tagged with `generation`;
-    /// returns the event's sequence number. Times earlier than the
-    /// current drain point are clamped to it ("schedule in the past"
-    /// means "fire as soon as possible", after anything already queued
-    /// for that cycle).
-    pub fn push(&mut self, time: u64, actor: ActorId, generation: u64) -> u64 {
-        let floor = self.base.saturating_add(self.cursor as u64);
-        let time = time.max(floor);
-        let seq = self.seq;
-        self.seq += 1;
-        let ev = Event {
-            time,
-            seq,
-            actor,
-            generation,
-        };
-        match time.checked_sub(self.base) {
-            Some(d) if d < self.wheel.len() as u64 => self.wheel[d as usize].push(ev),
-            _ => self.far.push(ev),
-        }
-        self.len += 1;
-        seq
-    }
-
-    /// Removes and returns the earliest event as
-    /// `(time, actor, generation)`; `None` when empty.
-    pub fn pop(&mut self) -> Option<(u64, ActorId, u64)> {
-        if self.len == 0 {
-            return None;
-        }
-        loop {
-            while self.cursor < self.wheel.len() {
-                let bucket = &mut self.wheel[self.cursor];
-                if !bucket.is_empty() {
-                    let ev = bucket.remove(0);
-                    self.len -= 1;
-                    return Some((ev.time, ev.actor, ev.generation));
-                }
-                self.cursor += 1;
-            }
-            // Wheel drained: rebase it onto the earliest far event. `len
-            // > 0` with an empty wheel implies `far` is non-empty.
-            self.rebase();
-        }
-    }
-
-    /// Moves the wheel window to start at the earliest overflow event and
-    /// redistributes every overflow event inside the new horizon. The
-    /// buckets are empty here (the wheel just drained), and the overflow
-    /// list is sorted by the unique `(time, seq)` key first, so
-    /// within-bucket insertion order equals seq order — FIFO survives the
-    /// rebase.
-    fn rebase(&mut self) {
-        debug_assert!(!self.far.is_empty());
-        self.far.sort_unstable_by_key(|e| (e.time, e.seq));
-        self.base = self.far[0].time;
-        self.cursor = 0;
-        let mut keep = Vec::new();
-        for ev in self.far.drain(..) {
-            // Offset arithmetic, not an absolute horizon: `base + len`
-            // saturates near `u64::MAX` (the "never" park time) and would
-            // otherwise strand the earliest event in the far list forever.
-            let d = ev.time - self.base;
-            if d < self.wheel.len() as u64 {
-                self.wheel[d as usize].push(ev);
-            } else {
-                keep.push(ev);
-            }
-        }
-        self.far = keep;
-    }
-}
-
-/// The discrete-event scheduler: an [`EventQueue`] plus per-actor
-/// generation counters, so each actor has at most one *live* wakeup and
-/// re-arming or cancelling never has to search the queue.
+/// The deterministic event queue under [`Cluster`]: a min-heap of
+/// wakeups keyed by `(time, seq)`, where `seq` is a monotone insertion
+/// counter, so same-cycle wakeups dispatch FIFO.
 ///
 /// # Examples
 ///
@@ -215,144 +60,80 @@ impl EventQueue {
 /// use r3dla_core::Kernel;
 ///
 /// let mut k = Kernel::new();
-/// let a = k.add_actor();
-/// let b = k.add_actor();
-/// k.schedule(a, 10);
-/// k.schedule(b, 10); // same cycle: dispatches after `a` (FIFO)
-/// k.schedule(a, 5); // re-arm: the wakeup at 10 is now stale
-/// assert_eq!(k.pop(), Some((5, a)));
-/// assert_eq!(k.pop(), Some((10, b)));
+/// k.schedule(1, 10);
+/// k.schedule(0, 10); // same cycle: dispatches after actor 1 (FIFO)
+/// k.schedule(2, 5);
+/// assert_eq!(k.pop(), Some((5, 2)));
+/// assert_eq!(k.pop(), Some((10, 1)));
+/// assert_eq!(k.pop(), Some((10, 0)));
 /// assert_eq!(k.pop(), None);
 /// assert_eq!(k.now(), 10);
 /// ```
+#[derive(Default)]
 pub struct Kernel {
-    queue: EventQueue,
-    generations: Vec<u64>,
-    armed: Vec<bool>,
-    live: usize,
+    heap: BinaryHeap<Reverse<(u64, u64, ActorId)>>,
+    seq: u64,
     now: u64,
-    // Dispatch accounting (plain fields, not atomics: the kernel is
-    // single-threaded and these must cost nothing). Surfaced through
+    // Dispatch accounting (a plain field: the kernel is single-threaded
+    // and this must cost nothing). Surfaced through
     // [`stats`](Self::stats) for the telemetry sidecar.
     dispatched: u64,
-    stale_dropped: u64,
 }
 
 /// Dispatch counters for one [`Kernel`], or accumulated across a
-/// [`Cluster`]'s run phases: how many live wakeups were dispatched and
-/// how many stale events (re-armed or cancelled wakeups) were drained
-/// and dropped on the way. The ratio is a direct health signal for the
-/// calendar queue — a high stale fraction means actors re-arm far more
-/// often than they fire.
+/// [`Cluster`]'s run phases.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelStats {
-    /// Live events returned by [`Kernel::pop`].
+    /// Wakeups returned by [`Kernel::pop`].
     pub dispatched: u64,
-    /// Stale events consumed and skipped while hunting for live ones.
+    /// Always 0: every scheduled wakeup is dispatched (a [`Cluster`]
+    /// schedules each tenant once per dispatch and never re-arms or
+    /// cancels). Kept because the `mix` telemetry sidecar reports it.
     pub stale_dropped: u64,
 }
 
-impl Default for Kernel {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Kernel {
-    /// An empty kernel at time 0 with no actors.
+    /// An empty kernel at time 0.
     pub fn new() -> Self {
-        Self {
-            queue: EventQueue::new(),
-            generations: Vec::new(),
-            armed: Vec::new(),
-            live: 0,
-            now: 0,
-            dispatched: 0,
-            stale_dropped: 0,
-        }
+        Self::default()
     }
 
     /// Dispatch accounting since construction.
     pub fn stats(&self) -> KernelStats {
         KernelStats {
             dispatched: self.dispatched,
-            stale_dropped: self.stale_dropped,
+            stale_dropped: 0,
         }
     }
 
-    /// Registers a new actor; ids are dense and start at 0.
-    pub fn add_actor(&mut self) -> ActorId {
-        self.generations.push(0);
-        self.armed.push(false);
-        self.generations.len() - 1
-    }
-
-    /// Current kernel time: the timestamp of the last dispatched event.
+    /// Current kernel time: the timestamp of the last dispatched wakeup.
     pub fn now(&self) -> u64 {
         self.now
     }
 
-    /// Whether `actor` has a live (not cancelled, not yet dispatched)
-    /// wakeup.
-    pub fn armed(&self, actor: ActorId) -> bool {
-        self.armed[actor]
-    }
-
-    /// Whether no actor has a live wakeup — the kernel's run loop is
-    /// done.
-    pub fn is_idle(&self) -> bool {
-        self.live == 0
-    }
-
-    /// Arms (or re-arms) `actor`'s single wakeup at time `at` (clamped to
-    /// [`now`](Self::now)). Any previously scheduled wakeup becomes stale
-    /// and is skipped at pop — re-arming is how an actor moves its own
-    /// wakeup earlier when new information (say, another tenant's fill)
-    /// arrives.
+    /// Queues a wakeup for `actor` at `at`, clamped to
+    /// [`now`](Self::now): "schedule in the past" means "fire as soon as
+    /// possible", after anything already queued for that cycle.
     pub fn schedule(&mut self, actor: ActorId, at: u64) {
-        self.generations[actor] += 1;
-        if !self.armed[actor] {
-            self.armed[actor] = true;
-            self.live += 1;
-        }
-        self.queue
-            .push(at.max(self.now), actor, self.generations[actor]);
+        self.heap.push(Reverse((at.max(self.now), self.seq, actor)));
+        self.seq += 1;
     }
 
-    /// Cancels `actor`'s live wakeup, if any. O(1): the queued event goes
-    /// stale and is dropped when it surfaces.
-    pub fn cancel(&mut self, actor: ActorId) {
-        if self.armed[actor] {
-            self.armed[actor] = false;
-            self.live -= 1;
-            self.generations[actor] += 1;
-        }
-    }
-
-    /// Dispatches the earliest live wakeup: advances
-    /// [`now`](Self::now) to its time, disarms the actor, and returns
-    /// `(time, actor)`. Stale events (re-armed or cancelled) are consumed
-    /// and skipped. Returns `None` when no live wakeups remain.
+    /// Dispatches the earliest wakeup: advances [`now`](Self::now) to
+    /// its time and returns `(time, actor)`; `None` when the queue is
+    /// empty.
     pub fn pop(&mut self) -> Option<(u64, ActorId)> {
-        while let Some((time, actor, generation)) = self.queue.pop() {
-            if self.armed[actor] && self.generations[actor] == generation {
-                self.armed[actor] = false;
-                self.live -= 1;
-                debug_assert!(time >= self.now, "calendar queue went backwards");
-                self.now = time;
-                self.dispatched += 1;
-                return Some((time, actor));
-            }
-            self.stale_dropped += 1;
-        }
-        debug_assert_eq!(self.live, 0);
-        None
+        let Reverse((time, _, actor)) = self.heap.pop()?;
+        self.now = time;
+        self.dispatched += 1;
+        Some((time, actor))
     }
 }
 
-/// The event-source surface a simulated system exposes to a [`Kernel`]:
-/// a local clock, halt/commit observation, and a single-quantum advance
-/// that reports when the system must next be dispatched.
+/// The event-source surface a simulated system exposes to
+/// [`run_until`] and [`Cluster`]: a local clock, halt/commit
+/// observation, and a single-quantum advance that reports when the
+/// system must next be dispatched.
 ///
 /// Implementations must guarantee **progress** (`advance_quantum`
 /// strictly increases `local_cycle`) and the **wakeup contract** (the
@@ -370,12 +151,56 @@ pub trait KernelActor {
     fn committed(&self) -> u64;
     /// Advances one scheduler quantum: a single cycle step, or a
     /// proven-quiescent skip never reaching past `cap`. Returns the cycle
-    /// at which the kernel must next dispatch this actor (the new local
-    /// clock). `last_probe` is the actor's activity-probe memo — the
-    /// same cheap "did anything happen since last time?" gate the
-    /// single-system run loops use — owned by the caller so the actor
-    /// stays borrowable between dispatches.
+    /// at which the actor must next be dispatched (the new local clock).
+    /// `last_probe` is the actor's activity-probe memo — the cheap "did
+    /// anything happen since last time?" gate in front of the quiescence
+    /// proof — owned by the caller so the actor stays borrowable between
+    /// dispatches.
     fn advance_quantum(&mut self, cap: u64, last_probe: &mut u64) -> u64;
+}
+
+/// Drives one actor until it commits `target` more instructions, halts,
+/// or `max_cycles` pass on its local clock; returns the elapsed cycles.
+///
+/// Every iteration first charges the cycles advanced since the last one
+/// to the thread's [`CellGuard`](crate::CellGuard) and stops if it
+/// fires, then tests for termination, then advances one quantum capped
+/// at `start + max_cycles`. Charging before the termination test means
+/// the final quantum is always charged, so a cell whose cycle budget
+/// equals its run length reports interrupted.
+pub fn run_until<A: KernelActor + ?Sized>(a: &mut A, target: u64, max_cycles: u64) -> u64 {
+    let start = a.local_cycle();
+    let start_committed = a.committed();
+    let cap = start.saturating_add(max_cycles);
+    let mut last_probe = u64::MAX;
+    let mut guard_last = start;
+    while !crate::guard::tick_since(a.local_cycle(), &mut guard_last)
+        && a.committed() - start_committed < target
+        && !a.halted()
+        && a.local_cycle() - start < max_cycles
+    {
+        a.advance_quantum(cap, &mut last_probe);
+    }
+    a.local_cycle() - start
+}
+
+/// A bare core (thread 0 measured), as the timing profile drives it.
+impl KernelActor for Core {
+    fn local_cycle(&self) -> u64 {
+        self.cycle()
+    }
+
+    fn halted(&self) -> bool {
+        Core::halted(self)
+    }
+
+    fn committed(&self) -> u64 {
+        Core::committed(self, 0)
+    }
+
+    fn advance_quantum(&mut self, cap: u64, last_probe: &mut u64) -> u64 {
+        Core::advance_quantum(self, cap, last_probe)
+    }
 }
 
 /// Per-tenant dispatch bookkeeping inside [`Cluster`].
@@ -495,9 +320,7 @@ impl<T: KernelActor> Cluster<T> {
         let mut kernel = Kernel::new();
         let mut states: Vec<TenantState> = Vec::with_capacity(self.tenants.len());
         for (i, t) in self.tenants.iter().enumerate() {
-            let id = kernel.add_actor();
-            debug_assert_eq!(id, i);
-            kernel.schedule(id, t.local_cycle());
+            kernel.schedule(i, t.local_cycle());
             states.push(TenantState {
                 start_cycle: t.local_cycle(),
                 start_committed: t.committed(),
@@ -554,7 +377,7 @@ impl<T: KernelActor> Cluster<T> {
     }
 }
 
-impl<T: KernelActor + MeasureTarget> Cluster<T> {
+impl<T: MeasureTarget> Cluster<T> {
     /// Warms every tenant up over `warm` committed instructions (still
     /// contending), then measures a window of `win` per tenant. Each
     /// report is captured the moment its tenant crosses the target, so a
@@ -584,109 +407,103 @@ impl<T: KernelActor + MeasureTarget> Cluster<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::guard::{interrupt_cause, CellGuard, Interrupt};
 
-    /// Same-cycle events dispatch in schedule order, not actor-id order.
+    /// Same-cycle wakeups dispatch in schedule order, not actor-id order,
+    /// and a wakeup scheduled in the past fires at `now`, after anything
+    /// already queued for that cycle.
     #[test]
     fn fifo_tie_break_is_schedule_order() {
         let mut k = Kernel::new();
-        let a = k.add_actor();
-        let b = k.add_actor();
-        let c = k.add_actor();
-        k.schedule(b, 42);
-        k.schedule(a, 42);
-        k.schedule(c, 42);
-        assert_eq!(k.pop(), Some((42, b)));
-        assert_eq!(k.pop(), Some((42, a)));
-        assert_eq!(k.pop(), Some((42, c)));
+        k.schedule(1, 42);
+        k.schedule(0, 42);
+        k.schedule(2, 42);
+        k.schedule(3, u64::MAX); // a "never" park stays queued
+        assert_eq!(k.pop(), Some((42, 1)));
+        k.schedule(1, 7); // clamped to now = 42
+        assert_eq!(k.pop(), Some((42, 0)));
+        assert_eq!(k.pop(), Some((42, 2)));
+        assert_eq!(k.pop(), Some((42, 1)));
+        assert_eq!(k.pop(), Some((u64::MAX, 3)));
         assert_eq!(k.pop(), None);
-        assert!(k.is_idle());
+        assert_eq!(k.stats().dispatched, 5);
+        assert_eq!(k.stats().stale_dropped, 0);
     }
 
-    /// Total order is (time, seq) across a mix of near, same-cycle and
-    /// far-horizon events, including ones past the wheel.
-    #[test]
-    fn same_cycle_multi_actor_ordering_across_horizons() {
-        let mut q = EventQueue::new();
-        q.push(7, 0, 0);
-        q.push(3, 1, 0);
-        q.push(7, 2, 0);
-        q.push(100_000, 3, 0); // far beyond the wheel
-        q.push(3, 4, 0);
-        q.push(100_000, 5, 0);
-        let order: Vec<(u64, ActorId)> = std::iter::from_fn(|| q.pop())
-            .map(|(t, a, _)| (t, a))
-            .collect();
-        assert_eq!(
-            order,
-            vec![(3, 1), (3, 4), (7, 0), (7, 2), (100_000, 3), (100_000, 5)]
-        );
+    /// A scripted actor: commits one instruction per cycle, skips `skip`
+    /// cycles per quantum (capped), halts at `halt_at`, and records
+    /// every cap it was handed.
+    struct Fake {
+        cycle: u64,
+        committed: u64,
+        skip: u64,
+        halt_at: u64,
+        caps: Vec<u64>,
     }
 
-    /// Re-arming moves the wakeup and the stale event never dispatches;
-    /// cancelling silences the actor entirely.
-    #[test]
-    fn cancel_and_rearm_drop_stale_wakeups() {
-        let mut k = Kernel::new();
-        let a = k.add_actor();
-        let b = k.add_actor();
-        k.schedule(a, 50);
-        k.schedule(b, 20);
-        k.schedule(a, 10); // re-arm earlier: the 50 is stale
-        assert_eq!(k.pop(), Some((10, a)));
-        k.schedule(a, 30);
-        k.cancel(a);
-        assert!(!k.armed(a));
-        assert_eq!(k.pop(), Some((20, b)));
-        assert_eq!(k.pop(), None, "cancelled wakeup must not dispatch");
-        // Re-arm after cancel works and time keeps monotone. The queue
-        // drained through the stale wakeup at 50 while hunting for live
-        // ones, so "as soon as possible" is 50 — harmless: the dispatch
-        // time is informational, actors advance from their own clock.
-        k.schedule(a, 5);
-        assert_eq!(k.pop(), Some((50, a)));
-        assert_eq!(k.now(), 50);
-    }
-
-    /// Draining far past the wheel horizon repeatedly (forcing rebases)
-    /// preserves (time, seq) order.
-    #[test]
-    fn rebase_preserves_order() {
-        let mut q = EventQueue::new();
-        // Spread events over many wheel windows, inserted out of order.
-        let times = [5_000u64, 1, 700, 5_000, 2_000_000, 700, 90_000];
-        for (i, &t) in times.iter().enumerate() {
-            q.push(t, i, 0);
+    impl Fake {
+        fn new(cycle: u64, skip: u64, halt_at: u64) -> Self {
+            Self {
+                cycle,
+                committed: 0,
+                skip,
+                halt_at,
+                caps: Vec::new(),
+            }
         }
-        let order: Vec<(u64, ActorId)> = std::iter::from_fn(|| q.pop())
-            .map(|(t, a, _)| (t, a))
-            .collect();
-        assert_eq!(
-            order,
-            vec![
-                (1, 1),
-                (700, 2),
-                (700, 5),
-                (5_000, 0),
-                (5_000, 3),
-                (90_000, 6),
-                (2_000_000, 4)
-            ]
-        );
     }
 
-    /// Interleaved push/pop at the same cycle keeps FIFO order, and a
-    /// `u64::MAX` "never" park stays queued without overflow.
+    impl KernelActor for Fake {
+        fn local_cycle(&self) -> u64 {
+            self.cycle
+        }
+        fn halted(&self) -> bool {
+            self.committed >= self.halt_at
+        }
+        fn committed(&self) -> u64 {
+            self.committed
+        }
+        fn advance_quantum(&mut self, cap: u64, _last_probe: &mut u64) -> u64 {
+            self.caps.push(cap);
+            self.cycle = (self.cycle + self.skip).min(cap).max(self.cycle + 1);
+            self.committed += 1;
+            self.cycle
+        }
+    }
+
     #[test]
-    fn same_cycle_push_during_drain_and_never_park() {
-        let mut k = Kernel::new();
-        let a = k.add_actor();
-        let b = k.add_actor();
-        k.schedule(a, 10);
-        k.schedule(b, u64::MAX);
-        assert_eq!(k.pop(), Some((10, a)));
-        k.schedule(a, 10); // same cycle as the dispatch we just took
-        assert_eq!(k.pop(), Some((10, a)));
-        k.cancel(b);
-        assert_eq!(k.pop(), None);
+    fn driver_stops_at_target_halt_and_max_cycles() {
+        // Target: 10 commits at one cycle per quantum.
+        let mut a = Fake::new(100, 1, u64::MAX);
+        assert_eq!(run_until(&mut a, 10, 1_000), 10);
+        assert_eq!(a.committed, 10);
+        // Halt before the target.
+        let mut a = Fake::new(0, 1, 4);
+        assert_eq!(run_until(&mut a, 10, 1_000), 4);
+        assert_eq!(
+            run_until(&mut a, 10, 1_000),
+            0,
+            "a halted actor never advances"
+        );
+        // Cycle limit: skipping 7 per quantum, the last skip is clipped
+        // to exactly `start + max_cycles`.
+        let mut a = Fake::new(50, 7, u64::MAX);
+        assert_eq!(run_until(&mut a, 1_000, 30), 30);
+        assert!(a.caps.iter().all(|&c| c == 80), "caps: {:?}", a.caps);
+        assert_eq!(a.cycle, 80);
+        // A cap near the top of the clock saturates instead of wrapping.
+        let mut a = Fake::new(u64::MAX - 5, 1, u64::MAX);
+        run_until(&mut a, 2, u64::MAX);
+        assert_eq!(a.caps, vec![u64::MAX; 2]);
+    }
+
+    #[test]
+    fn driver_charges_the_final_quantum_to_the_cell_guard() {
+        // Budget equal to the run's length: the guard is charged before
+        // the termination test, so the last quantum exhausts it.
+        let _g = CellGuard::install(None, Some(10));
+        let mut a = Fake::new(0, 1, u64::MAX);
+        assert_eq!(run_until(&mut a, 10, 1_000), 10);
+        assert_eq!(interrupt_cause(), Some(Interrupt::BudgetExhausted));
     }
 }

@@ -18,9 +18,9 @@
 //!   §III-E;
 //! * [`DlaSystem`] — the assembled two-core system; [`SingleCoreSim`] —
 //!   the conventional baseline;
-//! * [`Kernel`] / [`Cluster`] — the deterministic discrete-event
-//!   scheduler the run loops pump, and the multi-tenant driver hosting N
-//!   systems (shared LLC/DRAM) under one global clock;
+//! * [`run_until`] — the one drive loop every single-system simulator
+//!   runs through; [`Cluster`] — the multi-tenant driver hosting N
+//!   systems (shared LLC/DRAM) under one global clock on a [`Kernel`];
 //! * [`ilp_limit`] — the Fig 1 implicit-parallelism limit study.
 //!
 //! # Examples
@@ -53,7 +53,7 @@ mod value_reuse;
 pub use dataflow::{BitSet, Dataflow};
 pub use guard::{CellGuard, Interrupt};
 pub use kernel::{
-    event_kernel_default, ActorId, Cluster, EventQueue, Kernel, KernelActor, KernelStats,
+    event_kernel_default, run_until, ActorId, Cluster, Kernel, KernelActor, KernelStats,
 };
 pub use limit::{ilp_limit, LimitModel, LimitResult};
 pub use overlay::OverlayMem;

@@ -204,13 +204,12 @@ pub fn profile_timing(prog: &Rc<Program>, data: &mut ProfileData, max_insts: u64
         prog: Rc::clone(prog),
     }));
     core.set_commit_sink(t, sink.clone());
-    let max_cycles = max_insts * 30; // generous bound
-    let mut last_probe = u64::MAX;
-    while !core.halted() && core.committed(t) < max_insts && core.cycle() < max_cycles {
-        // Fast-forward quiescent stretches (cold-cache stalls dominate
-        // the training run); identical results to stepping every cycle.
-        core.step_or_skip(max_cycles, &mut last_probe);
-    }
+    // Quiescent stretches (cold-cache stalls dominate the training run)
+    // are fast-forwarded; identical results to stepping every cycle. The
+    // driver measures thread 0, which is `t`; 30 cycles per instruction
+    // is a generous bound.
+    debug_assert_eq!(t, 0);
+    crate::kernel::run_until(&mut core, max_insts, max_insts * 30);
     let sink = sink.borrow();
     for i in 0..prog.len() {
         if sink.count[i] > 0 {

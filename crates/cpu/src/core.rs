@@ -398,50 +398,39 @@ impl Core {
 
     /// Runs until all threads halt or `max_cycles` elapse; returns cycles
     /// executed. Quiescent stretches are fast-forwarded through
-    /// [`Core::next_event_at`] / [`Core::skip_to`]; the result is
-    /// identical to stepping every cycle.
+    /// [`Core::advance_quantum`]; the result is identical to stepping
+    /// every cycle.
     pub fn run(&mut self, max_cycles: u64) -> u64 {
         let start = self.cycle;
         let mut last_probe = u64::MAX;
         while !self.halted() && self.cycle - start < max_cycles {
-            self.step_or_skip(start.saturating_add(max_cycles), &mut last_probe);
+            self.advance_quantum(start.saturating_add(max_cycles), &mut last_probe);
         }
         self.cycle - start
     }
 
-    /// One fast-path iteration of a single-core run loop: fast-forwards
-    /// to the next event when the previous iteration already looked idle
-    /// (and quiescence proves out), else steps one cycle. `cap` bounds
-    /// the skip target; `last_probe` carries the idleness gate across
-    /// calls (seed it with `u64::MAX`). Shared by [`Core::run`], the
-    /// single-core simulators and the profiler so the gate logic cannot
-    /// drift between them.
-    pub fn step_or_skip(&mut self, cap: u64, last_probe: &mut u64) {
+    /// One scheduler quantum of a single-core run loop: fast-forwards to
+    /// the next event when the previous quantum already looked idle (and
+    /// quiescence proves out), else steps one cycle. `cap` bounds the
+    /// skip target; `last_probe` carries the idleness gate across calls
+    /// (seed it with `u64::MAX`). Returns the cycle at which the core
+    /// must next be dispatched: after a skip, exactly the wakeup
+    /// [`next_event_at`](Core::next_event_at) reported; after a step, the
+    /// very next cycle. Shared by [`Core::run`], the single-core
+    /// simulators and the profiler, so the gate logic cannot drift
+    /// between them.
+    pub fn advance_quantum(&mut self, cap: u64, last_probe: &mut u64) -> u64 {
         // Only pay for the quiescence proof when the previous cycle
         // already looked idle.
         let probe = self.activity_probe();
         if probe == *last_probe {
             if let Some(wake) = self.next_event_at() {
                 self.skip_to(wake.min(cap));
-                return;
+                return self.cycle;
             }
         }
         *last_probe = probe;
         self.step();
-    }
-
-    /// The core as an event *source* for a discrete-event kernel: one
-    /// scheduler quantum ([`step_or_skip`](Core::step_or_skip) — a single
-    /// cycle, or a proven-quiescent skip capped at `cap`), returning the
-    /// cycle at which the kernel must next dispatch this core. After a
-    /// skip that is exactly the wakeup [`next_event_at`](Core::next_event_at)
-    /// reported; after a step it is the very next cycle (the core may act
-    /// again immediately). The kernel thus never polls
-    /// [`activity_probe`](Core::activity_probe) itself — the probe memo
-    /// lives in `last_probe`, owned by the caller, and the quiescence
-    /// question stays inside the core.
-    pub fn advance_quantum(&mut self, cap: u64, last_probe: &mut u64) -> u64 {
-        self.step_or_skip(cap, last_probe);
         self.cycle
     }
 

@@ -1,21 +1,23 @@
 //! Golden-model test: a fingerprint of simulated results recorded from a
 //! known-good build.
 //!
-//! The equivalence suites (skip, event kernel, checkpoints) compare two
+//! The equivalence suites (skip, checkpoints) compare two
 //! paths of the *same* build, so an edit to the cycle-stepped core that
 //! changes the model in both paths still passes them. This test pins the
 //! model itself: for a few kernels at `Scale::Tiny` it checks the training
 //! profile's per-PC dispatch-to-execute latencies (`avg_d2e`, produced by
 //! a detailed single-core run) and the runner's deterministic `bl`, `dla`
-//! and `r3` cell rows.
+//! and `r3` cell rows. A second fingerprint pins the B-Fetch and CRE
+//! comparison baselines, which drive their own side engines.
 //!
 //! A host-performance change must leave every line below untouched. A
 //! deliberate model change updates the expected lines in the same commit
 //! and says why; the failure message prints the new fingerprint.
 
+use r3dla_baselines::{BFetchSim, CreSim};
 use r3dla_bench::runner::{run_cell, CellResult, ConfigSpec};
 use r3dla_bench::{parallel_map, CellStatus, Prepared};
-use r3dla_workloads::{suite, Scale};
+use r3dla_workloads::{by_name, suite, Scale};
 
 const KERNELS: [&str; 5] = [
     "mcf_like",
@@ -114,5 +116,29 @@ fn simulated_results_match_the_recorded_fingerprint() {
     assert!(
         actual == EXPECTED,
         "simulated results changed; new fingerprint:\n{actual}"
+    );
+}
+
+/// `measure(2_000, 8_000)` of each comparison baseline at `Scale::Tiny`:
+/// `(IPC, committed instructions, cycles)`.
+const EXPECTED_BASELINES: &str = "\
+libq_like bfetch (1.0761366693570082, 8000, 7434)
+libq_like cre (1.0491803278688525, 8000, 7625)
+mcf_like bfetch (0.08985041775222352, 8001, 89048)
+mcf_like cre (0.08958883862587898, 8001, 89308)
+";
+
+#[test]
+fn baseline_results_match_the_recorded_fingerprint() {
+    let mut actual = String::new();
+    for name in ["libq_like", "mcf_like"] {
+        let wl = by_name(name).expect("known kernel").build(Scale::Tiny);
+        let bfetch = BFetchSim::build(&wl).measure(2_000, 8_000);
+        let cre = CreSim::build(&wl).measure(2_000, 8_000);
+        actual.push_str(&format!("{name} bfetch {bfetch:?}\n{name} cre {cre:?}\n"));
+    }
+    assert!(
+        actual == EXPECTED_BASELINES,
+        "baseline results changed; new fingerprint:\n{actual}"
     );
 }

@@ -7,10 +7,18 @@
 //! deterministic `BENCH_*.json` cell row is compared verbatim, so any
 //! divergence in cycles, commits, DRAM traffic, cache statistics or
 //! reboot counts fails the suite.
+//!
+//! A second group checks the multi-tenant [`Cluster`]: two systems over
+//! one shared LLC/DRAM, run twice from scratch, must produce identical
+//! per-tenant reports with both tenants committing work.
+
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use r3dla_bench::runner::{run_cell, CellResult, ConfigSpec};
 use r3dla_bench::{parallel_map, Prepared};
-use r3dla_core::WindowReport;
+use r3dla_core::{Cluster, DlaConfig, WindowReport};
+use r3dla_mem::SharedLlc;
 use r3dla_workloads::{suite, Scale};
 
 /// The runner's deterministic per-cell JSON row — the very formatter
@@ -77,4 +85,42 @@ fn representative_workloads_are_skip_equivalent_under_bl_and_r3() {
             assert_cell_equivalent(p, &spec, 1_000, 4_000);
         }
     }
+}
+
+/// Two tenants over one shared LLC/DRAM: the cluster must be
+/// deterministic (two runs from scratch agree verbatim) and both tenants
+/// must make progress while contending.
+#[test]
+fn shared_llc_cluster_is_deterministic_and_both_tenants_commit() {
+    let names = ["libq_like", "mcf_like"];
+    let workloads: Vec<_> = suite()
+        .into_iter()
+        .filter(|w| names.contains(&w.name))
+        .collect();
+    assert_eq!(workloads.len(), names.len(), "subset names must all exist");
+    let prepared = parallel_map(&workloads, 1, |w| Prepared::new(w, Scale::Tiny));
+
+    let run = || {
+        let cfg = DlaConfig::r3();
+        let shared = Rc::new(RefCell::new(SharedLlc::new(&cfg.mem)));
+        let mut cluster = Cluster::with_shared(shared.clone());
+        for p in &prepared {
+            cluster.push(p.dla_system_shared(cfg.clone(), shared.clone()));
+        }
+        let rows: Vec<String> = cluster
+            .measure_each(1_000, 4_000)
+            .into_iter()
+            .zip(&prepared)
+            .map(|(report, p)| {
+                assert!(
+                    report.mt_committed > 0,
+                    "tenant {} committed nothing while co-running",
+                    p.name
+                );
+                cell_row(p, "r3+shared", report)
+            })
+            .collect();
+        rows
+    };
+    assert_eq!(run(), run(), "cluster run is not deterministic");
 }
